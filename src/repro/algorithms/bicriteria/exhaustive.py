@@ -52,11 +52,6 @@ DEFAULT_SEARCH_CAP = 5_000_000
 DEFAULT_BLOCK_SIZE = 4096
 
 
-#: Back-compat alias: the knob resolver now lives in ``core.metrics_bulk``
-#: so the heuristics layer shares the exact same three-state semantics.
-_bulk_enabled = resolve_use_bulk
-
-
 def _stirling2_row(k: int) -> list[int]:
     """Stirling numbers of the second kind ``S(k, p)`` for ``p = 0..k``."""
     row = [1] + [0] * k  # S(0,0)=1
@@ -171,7 +166,7 @@ def exhaustive_pareto_front(
     to the single-pass evaluation; ``bulk_backend`` picks the
     evaluator's array engine.
     """
-    if not _bulk_enabled(use_bulk):
+    if not resolve_use_bulk(use_bulk):
         points = [
             BiCriteriaPoint(
                 ev.latency, ev.failure_probability, payload=ev.mapping
@@ -379,7 +374,7 @@ def exhaustive_minimize_fp(
     record/replay comparisons are meaningful within one path.
     """
     slack = tolerance * max(1.0, abs(latency_threshold))
-    if _bulk_enabled(use_bulk):
+    if resolve_use_bulk(use_bulk):
         return _best_bulk(
             application,
             platform,
@@ -426,7 +421,7 @@ def exhaustive_minimize_latency(
     ``recorder`` behaves as in :func:`exhaustive_minimize_fp`.
     """
     slack = tolerance * max(1.0, abs(fp_threshold))
-    if _bulk_enabled(use_bulk):
+    if resolve_use_bulk(use_bulk):
         return _best_bulk(
             application,
             platform,
@@ -479,7 +474,7 @@ def exhaustive_sweep_min_fp(
     thresholds = list(thresholds)
     if not thresholds:
         return []
-    if not _bulk_enabled(use_bulk):
+    if not resolve_use_bulk(use_bulk):
         results: list[SolverResult | None] = []
         for threshold in thresholds:
             try:

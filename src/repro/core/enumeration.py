@@ -10,12 +10,16 @@ enforce limits).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import combinations
+from threading import Lock
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .mapping import IntervalMapping, StageInterval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from .application import PipelineApplication
     from .metrics_bulk import MappingBlock
     from .platform import Platform
@@ -163,6 +167,51 @@ def allocation_mask_rows(
     return rows
 
 
+#: Bytes of allocation tables :func:`_allocation_table` keeps between
+#: sweeps; least recently used tables are dropped past it.
+ALLOCATION_TABLE_BYTES = 64 << 20
+
+_allocation_tables: "OrderedDict[tuple[int, int, int | None], np.ndarray]" = (
+    OrderedDict()
+)
+_allocation_tables_lock = Lock()
+
+
+def _allocation_table(
+    num_intervals: int, num_processors: int, max_replication: int | None
+) -> "np.ndarray":
+    """:func:`allocation_mask_rows` as a read-only ``(rows, m)`` array.
+
+    Columns past ``num_intervals`` are zero.  The table depends only on
+    ``(p, m, max_replication)``, not on the instance, so it is memoized
+    across sweeps, least recently used first out past
+    :data:`ALLOCATION_TABLE_BYTES`.
+    """
+    import numpy as np
+
+    key = (num_intervals, num_processors, max_replication)
+    with _allocation_tables_lock:
+        table = _allocation_tables.get(key)
+        if table is not None:
+            _allocation_tables.move_to_end(key)
+            return table
+    rows = allocation_mask_rows(
+        num_intervals, num_processors, max_replication=max_replication
+    )
+    table = np.zeros((len(rows), num_processors), dtype=np.int64)
+    if rows:
+        table[:, :num_intervals] = rows
+    table.flags.writeable = False
+    if table.nbytes <= ALLOCATION_TABLE_BYTES:
+        with _allocation_tables_lock:
+            _allocation_tables[key] = table
+            retained = sum(t.nbytes for t in _allocation_tables.values())
+            while retained > ALLOCATION_TABLE_BYTES:
+                _, dropped = _allocation_tables.popitem(last=False)
+                retained -= dropped.nbytes
+    return table
+
+
 def iter_mapping_blocks(
     application: "PipelineApplication",
     platform: "Platform",
@@ -176,11 +225,11 @@ def iter_mapping_blocks(
     :func:`enumerate_interval_mappings` (a machine-checked property), but
     encoded for :class:`repro.core.metrics_bulk.BulkEvaluator`: interval
     end boundaries and allocation bitmasks, zero-padded to
-    ``min(n, m)`` columns.  The allocation factor is enumerated once per
-    interval count ``p`` and tiled across every partition of that size,
-    so the per-mapping Python cost is amortised away — encoding is a few
-    array operations per partition instead of object construction per
-    mapping.
+    ``min(n, m)`` columns.  The allocation factor is tiled across every
+    partition of the same size ``p`` from a table built once per process
+    (:func:`_allocation_table`), so the per-mapping Python cost is
+    amortised away — encoding is a few array operations per partition
+    instead of object construction per mapping.
 
     Raises
     ------
@@ -202,7 +251,6 @@ def iter_mapping_blocks(
     n = application.num_stages
     m = platform.size
     width = min(n, m)
-    alloc_tables: dict[int, "np.ndarray"] = {}
 
     pending: list[tuple["np.ndarray", "np.ndarray"]] = []
     pending_rows = 0
@@ -221,15 +269,7 @@ def iter_mapping_blocks(
 
     for partition in interval_partitions(n, max_intervals=m):
         p = len(partition)
-        table = alloc_tables.get(p)
-        if table is None:
-            rows = allocation_mask_rows(
-                p, m, max_replication=max_replication
-            )
-            table = np.zeros((len(rows), width), dtype=np.int64)
-            if rows:
-                table[:, :p] = np.asarray(rows, dtype=np.int64)
-            alloc_tables[p] = table
+        table = _allocation_table(p, m, max_replication)[:, :width]
         if table.shape[0] == 0:
             continue
         ends_row = np.zeros(width, dtype=np.int64)

@@ -18,7 +18,20 @@ of array operations instead:
   replica speed, interval failure product and log-reliability), so that
   evaluating the block is pure fancy indexing plus reductions, for both
   the uniform-link formula (paper eq. (1)) and the heterogeneous-link
-  formula (paper eq. (2)).
+  formula (paper eq. (2));
+* for eq. (2) it also tabulates, per sender, the compute time of every
+  ``(start, end)`` interval, the serialized sends of every
+  ``(end, successor mask)`` pair (or to ``P_out``), the input term of
+  every first-interval mask and a 0/-inf replica-membership table, so a
+  block costs three ``(m, B, width)`` gathers and a max — no ``m x m``
+  work.
+
+Size rule: the mask tables exist while ``m <= MASK_TABLE_LIMIT``, and
+the eq. (2) tables while the send table's ``(n + 1) * 2^m * m`` entries
+stay within :data:`SEND_TABLE_ENTRIES`.  Past either, eq. (2) expands
+masks into a boolean bit matrix and computes its sends in row chunks
+(:meth:`BulkEvaluator._serialized_sends`); past ``MASK_TABLE_LIMIT``,
+eq. (1) and the failure product use the bit matrix too.
 
 Numerical contract
 ------------------
@@ -28,7 +41,9 @@ Results agree with the scalar path (:func:`repro.core.metrics.evaluate`
 guaranteed bit-identical: the bulk path uses prefix-sum differences for
 interval work and numpy (pairwise) summation for the per-interval
 accumulations, both of which can differ from the scalar left-to-right
-folds by a few ulps.  The consumers therefore re-evaluate the *winning*
+folds by a few ulps.  (The tabulated eq. (2) send and input terms are
+the exception: they are built as the scalar ascending fold, exactly.)
+The consumers therefore re-evaluate the *winning*
 mappings through the scalar path before reporting them, so solver
 results remain scalar-exact.
 
@@ -78,6 +93,7 @@ __all__ = [
     "HAS_NUMBA",
     "BULK_RELATIVE_TOLERANCE",
     "MASK_TABLE_LIMIT",
+    "SEND_TABLE_ENTRIES",
     "SHARD_MIN_ROWS",
     "MappingBlock",
     "BlockBuilder",
@@ -98,6 +114,12 @@ BULK_RELATIVE_TOLERANCE = 1e-9
 #: (``2^m`` entries per table); beyond it the evaluator expands masks
 #: into a boolean bit matrix instead.
 MASK_TABLE_LIMIT = 16
+
+#: The eq. (2) send table holds ``(n + 1) * 2^m * m`` entries; it is
+#: built only up to this many (16 MiB of float64).  Past it, or past
+#: :data:`MASK_TABLE_LIMIT`, eq. (2) falls back to the row-chunked
+#: bit-matrix path.
+SEND_TABLE_ENTRIES = 1 << 21
 
 #: Blocks with fewer rows than this are evaluated in one pass even when
 #: the evaluator was built with ``shards > 1``: below it, the thread
@@ -374,7 +396,10 @@ class BulkEvaluator:
     :class:`MappingBlock`: eq. (1) on communication-homogeneous
     platforms, eq. (2) on fully heterogeneous ones, the replica-product
     failure probability always.  See the module docstring for the
-    numerical contract (:data:`BULK_RELATIVE_TOLERANCE`).
+    numerical contract (:data:`BULK_RELATIVE_TOLERANCE`) and the size
+    rule: within it, eq. (2) is gathered from per-instance tables
+    (:meth:`_build_eq2_tables`); past it, computed from a bit matrix in
+    row chunks (:meth:`_serialized_sends`).
 
     ``shards`` enables threaded row-sharding for large blocks: the
     block is split into ``shards`` contiguous row ranges evaluated
@@ -463,6 +488,14 @@ class BulkEvaluator:
         self._tables = m <= MASK_TABLE_LIMIT
         if self._tables:
             self._build_mask_tables()
+        self._eq2_tables = (
+            not self._uniform
+            and self.backend == "numpy"
+            and self._tables
+            and (n + 1) * (1 << m) * m <= SEND_TABLE_ENTRIES
+        )
+        if self._eq2_tables:
+            self._build_eq2_tables()
         if self.backend == "jit":
             self._warmup_jit()
 
@@ -502,6 +535,57 @@ class BulkEvaluator:
         self._min_speed = min_speed
         self._fp_prod = fp_prod
         self._rel_log = rel_log
+
+    def _build_eq2_tables(self) -> None:
+        """Per-instance eq. (2) term tables, gathered by flat index.
+
+        Each table is processor-major — row ``u`` holds processor ``u``'s
+        terms — so a gather yields ``(m, B, width)`` and the max over
+        replicas reduces the outer axis:
+
+        * ``_compute_table[u, a * (n + 1) + e]`` — work of stages
+          ``a+1..e`` on ``u`` (the prefix-sum difference over the speed,
+          as the row path computes it);
+        * ``_send_table[u, e << m | mask]`` — sender ``u``'s serialized
+          sends of ``delta_e`` into the replicas of ``mask``, built with
+          the remove-highest-bit DP of :func:`build_mask_tables`: a left
+          fold over the receivers in ascending order (the scalar
+          ``sum(send_terms)``), or their max for multi-port.  Slot
+          ``mask == 0`` holds the send to ``P_out`` instead, since only
+          the last interval (and padding) has no successor replicas;
+        * ``_member_table[u, mask]`` — ``0`` when ``u`` replicates
+          ``mask`` and ``-inf`` otherwise, added before the max;
+        * ``_in_table[mask]`` — the serialized input sends from ``P_in``
+          to the first interval's replicas, folded like the sends.
+        """
+        n1 = self._n + 1
+        m = self._m
+        size = 1 << m
+        fold = _np.add if self.one_port else _np.maximum
+        empty = 0.0 if self.one_port else -_np.inf
+
+        work = self._work_prefix[None, :] - self._work_prefix[:, None]
+        compute = work[None, :, :] / self._speeds[:, None, None]
+        self._compute_table = compute.reshape(m, n1 * n1)
+
+        # to[u, v, e]: delta_e from sender u to receiver v
+        to = self._volumes / self._links[:, :, None]
+        send = _np.empty((m, n1, size))
+        send[:, :, 0] = empty
+        in_times = self.application.input_size / self._in_bw
+        in_table = _np.empty(size)
+        in_table[0] = empty
+        for bit in range(m):
+            lo = 1 << bit
+            hi = lo << 1
+            send[:, :, lo:hi] = fold(send[:, :, :lo], to[:, bit, :, None])
+            in_table[lo:hi] = fold(in_table[:lo], in_times[bit])
+        send[:, :, 0] = self._volumes / self._out_bw[:, None]
+        self._send_table = send.reshape(m, n1 * size)
+        self._in_table = in_table
+
+        member = (_np.arange(size) >> self._bit_ids[:, None]) & 1 != 0
+        self._member_table = _np.where(member, 0.0, -_np.inf)
 
     def _bits(self, masks: "np.ndarray") -> "np.ndarray":
         """Expand bitmasks into a boolean bit matrix ``(.., m)``."""
@@ -588,6 +672,8 @@ class BulkEvaluator:
     def _latencies_of(self, block: MappingBlock) -> "np.ndarray":
         if self._uniform:
             return self._latencies_uniform(block)
+        if self._eq2_tables:
+            return self._latencies_tabulated(block)
         return self._latencies_heterogeneous(block)
 
     # ------------------------------------------------------------------
@@ -671,13 +757,16 @@ class BulkEvaluator:
     ) -> "np.ndarray":
         """Per-sender serialized sends into each successor interval.
 
-        The per-link array behind the reduction is ``(B, width, m, m)``
-        sized; computing it in contiguous row chunks of ``B / m`` keeps
-        every temporary within the ``(B, width, m)`` footprint of the
-        result.  Chunking the row axis cannot change any value — each
-        output element is still the same numpy pairwise reduction over
-        the same masked ``delta / links`` row — so the results stay
-        bit-identical to the unchunked formulation.
+        Used only past the size rule, where no send table exists
+        (``m > MASK_TABLE_LIMIT`` or more than
+        :data:`SEND_TABLE_ENTRIES` table entries).  The per-link array
+        behind the reduction is ``(B, width, m, m)`` sized; computing it
+        in contiguous row chunks of ``B / m`` keeps every temporary
+        within the ``(B, width, m)`` footprint of the result.  Chunking
+        the row axis cannot change any value — each output element is
+        still the same numpy reduction over the same masked
+        ``delta / links`` row.  For ``m >= 8`` that reduction is numpy's
+        unrolled sum, which can differ from the scalar fold by ulps.
         """
         rows, width = next_masks.shape
         m = self._m
@@ -697,7 +786,33 @@ class BulkEvaluator:
                 )
         return sends
 
+    def _latencies_tabulated(self, block: MappingBlock) -> "np.ndarray":
+        """Eq. (2) from the :meth:`_build_eq2_tables` tables.
+
+        Three ``(m, B, width)`` gathers replace the per-link work: the
+        per-replica time is ``(compute + sends) + membership``, then the
+        max over replicas and the sum over intervals, in the same order
+        as :meth:`_latencies_heterogeneous`.
+        """
+        ends = block.ends
+        masks = block.masks
+        prev_ends = _np.zeros_like(ends)
+        prev_ends[:, 1:] = ends[:, :-1]
+        next_masks = _np.zeros_like(masks)
+        next_masks[:, :-1] = masks[:, 1:]
+
+        per_replica = self._compute_table.take(
+            prev_ends * (self._n + 1) + ends, axis=1
+        )
+        per_replica += self._send_table.take(
+            (ends << self._m) | next_masks, axis=1
+        )
+        per_replica += self._member_table.take(masks, axis=1)
+        terms = _np.where(masks != 0, per_replica.max(axis=0), 0.0)
+        return self._in_table.take(masks[:, 0]) + terms.sum(axis=1)
+
     def _latencies_heterogeneous(self, block: MappingBlock) -> "np.ndarray":
+        """Eq. (2) from a bit matrix: the path past the size rule."""
         masks = block.masks
         valid = masks != 0
         bits = self._bits(masks)  # (B, width, m)

@@ -10,6 +10,8 @@ bugs would hide.
 """
 
 import math
+import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,16 +25,20 @@ from repro.core import (
     MappingBlock,
     PipelineApplication,
     Platform,
+    StageInterval,
     evaluate,
     nondominated_mask,
     pareto_front,
 )
+from repro.core import enumeration
 from repro.core.enumeration import (
     allocation_mask_rows,
     allocations_for_partition,
     enumerate_interval_mappings,
     iter_mapping_blocks,
 )
+from repro.core.metrics_bulk import MASK_TABLE_LIMIT, SEND_TABLE_ENTRIES
+from repro.core.topology import IN, OUT
 from repro.core.pareto import BiCriteriaPoint
 from repro.exceptions import SolverError
 
@@ -244,6 +250,60 @@ class TestIterMappingBlocks:
             next(iter_mapping_blocks(app, plat, block_size=0))
 
 
+class TestAllocationTableMemo:
+    """The allocation tables are shared across sweeps, read-only."""
+
+    def test_second_sweep_keeps_enumeration_order(self):
+        app, plat = make_instance("comm-homogeneous", n=5, m=4, seed=3)
+        scalar = list(enumerate_interval_mappings(5, 4))
+        for _ in range(2):
+            decoded = [
+                mp
+                for block in iter_mapping_blocks(app, plat, block_size=37)
+                for mp in block.mappings()
+            ]
+            assert decoded == scalar
+
+    def test_cached_tables_are_read_only(self):
+        app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
+        list(iter_mapping_blocks(app, plat))
+        table = enumeration._allocation_table(2, 3, None)
+        assert table is enumeration._allocation_table(2, 3, None)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_max_replication_keys_are_distinct(self):
+        full = enumeration._allocation_table(2, 4, None)
+        capped = enumeration._allocation_table(2, 4, 1)
+        assert capped is not full
+        assert len(capped) < len(full)
+        assert [tuple(r[:2]) for r in capped.tolist()] == (
+            allocation_mask_rows(2, 4, max_replication=1)
+        )
+        app, plat = make_instance("comm-homogeneous", n=4, m=4, seed=2)
+        for cap in (None, 1, None):
+            decoded = [
+                mp
+                for block in iter_mapping_blocks(
+                    app, plat, max_replication=cap
+                )
+                for mp in block.mappings()
+            ]
+            assert decoded == list(
+                enumerate_interval_mappings(4, 4, max_replication=cap)
+            )
+
+    def test_retained_bytes_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_allocation_tables", OrderedDict())
+        budget = enumeration._allocation_table(3, 5, None).nbytes
+        monkeypatch.setattr(enumeration, "ALLOCATION_TABLE_BYTES", budget)
+        for p in (1, 2, 3, 4):
+            enumeration._allocation_table(p, 5, None)
+            retained = enumeration._allocation_tables.values()
+            assert sum(t.nbytes for t in retained) <= budget
+
+
 class TestNondominatedMask:
     @given(
         st.lists(
@@ -447,14 +507,14 @@ class TestPersistentExecutor:
 
 
 class TestHeterogeneousSendRestructure:
-    """The keyed send table is bit-identical to the 4-D formulation.
+    """The numpy eq. (2) path is bit-identical to the 4-D formulation.
 
     The former heterogeneous path materialised a ``(B, width, m, m)``
-    ``send_uv`` array; the restructure reduces once per unique
-    ``(end, next mask)`` pair and scatters back.  Each output element is
-    the same numpy reduction over the same contiguous length-``m``
-    values, so the results must match exactly — not just within
-    tolerance.
+    ``send_uv`` array and summed (or maxed) each sender's masked row;
+    the evaluator now gathers per-instance send, compute, input and
+    membership tables instead.  For ``m < 8`` numpy's row sum is the
+    same ascending left fold the send table is built with, so the
+    results must match exactly — not just within tolerance.
     """
 
     @staticmethod
@@ -531,3 +591,89 @@ class TestHeterogeneousSendRestructure:
             evaluator.latencies(block),
             self._legacy_latencies(evaluator, block),
         )
+
+
+def _random_mappings(n, m, count, seed):
+    """``count`` random interval mappings of ``n`` stages on ``m``."""
+    rng = random.Random(seed)
+    mappings = []
+    for _ in range(count):
+        p = rng.randint(1, min(n, m))
+        cuts = sorted(rng.sample(range(1, n), p - 1))
+        bounds = [0, *cuts, n]
+        pool = rng.sample(range(1, m + 1), rng.randint(p, m))
+        splits = sorted(rng.sample(range(1, len(pool)), p - 1))
+        groups = [
+            set(pool[lo:hi]) for lo, hi in zip([0, *splits], [*splits, None])
+        ]
+        mappings.append(
+            IntervalMapping(
+                [StageInterval(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])],
+                groups,
+            )
+        )
+    return mappings
+
+
+class TestEq2Tables:
+    """The tabulated eq. (2) terms and the size rule around them."""
+
+    @given(
+        applications(max_stages=6),
+        fully_heterogeneous_platforms(min_processors=2, max_processors=10),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_terms_equal_scalar_fold(self, app, plat, one_port, data):
+        """Send and input terms are the scalar eq. (2) fold, exactly."""
+        assume(not plat.is_communication_homogeneous)
+        ev = BulkEvaluator(app, plat, one_port=one_port, backend="numpy")
+        assert ev._eq2_tables
+        n, m = app.num_stages, plat.size
+        topo = plat.topology
+        reduce = sum if one_port else max
+
+        def fold(size, senders, receivers):
+            return reduce(
+                topo.transfer_time(size, u, v)
+                for u in senders
+                for v in receivers
+            )
+
+        full = (1 << m) - 1
+        masks = data.draw(
+            st.lists(st.integers(1, full), min_size=1, max_size=30)
+        )
+        for mask in [full, *masks]:
+            replicas = [u + 1 for u in range(m) if mask >> u & 1]
+            assert ev._in_table[mask] == fold(
+                app.input_size, [IN], replicas
+            )
+            end = data.draw(st.integers(0, n))
+            sender = data.draw(st.integers(1, m))
+            delta = app.volume(end)
+            row = ev._send_table[sender - 1]
+            assert row[end << m | mask] == fold(delta, [sender], replicas)
+            assert row[end << m] == topo.transfer_time(delta, sender, OUT)
+
+    @pytest.mark.parametrize("one_port", [True, False])
+    def test_past_mask_table_limit_falls_back(self, one_port):
+        m = MASK_TABLE_LIMIT + 1
+        app, plat = make_instance("fully-heterogeneous", 5, m, seed=4)
+        ev = BulkEvaluator(app, plat, one_port=one_port, backend="numpy")
+        assert not ev._eq2_tables
+        mappings = _random_mappings(5, m, 40, seed=4)
+        assert_bulk_matches_scalar(app, plat, mappings, one_port=one_port)
+
+    @pytest.mark.parametrize("one_port", [True, False])
+    def test_past_send_table_budget_falls_back(self, one_port):
+        m = 12
+        n = SEND_TABLE_ENTRIES // ((1 << m) * m)  # first n over budget
+        app, plat = make_instance("fully-heterogeneous", n, m, seed=5)
+        ev = BulkEvaluator(app, plat, one_port=one_port, backend="numpy")
+        assert not ev._eq2_tables
+        below, _ = make_instance("fully-heterogeneous", n - 1, m, seed=5)
+        assert BulkEvaluator(below, plat, backend="numpy")._eq2_tables
+        mappings = _random_mappings(n, m, 40, seed=5)
+        assert_bulk_matches_scalar(app, plat, mappings, one_port=one_port)
