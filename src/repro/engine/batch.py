@@ -1,19 +1,24 @@
 """Streaming batch executor: many solver queries as a resilient service.
 
-Turns solving into a batched service instead of one-off function calls:
-a list of :class:`BatchTask` records (any mix of instances, solvers and
-thresholds) is executed either serially or sharded across
-``multiprocessing`` workers, with
+Turns solving into a batched service instead of one-off function calls.
+The core is a **dependency-aware task graph** (:class:`GraphNode` /
+:func:`iter_graph` / :func:`run_graph`): nodes carry ``depends_on``
+edges and are dispatched, serially or to a ``multiprocessing`` pool,
+the moment their dependencies resolve, so independent chains interleave
+freely while ordered work (e.g. the sweep engine's warm-start chains,
+where point ``i`` seeds point ``i+1``) stays ordered.  A flat batch of
+:class:`BatchTask` records (:func:`iter_batch` / :func:`run_batch`) is
+the same graph with no edges, run through the same dispatch loop.  All
+of them share:
 
-* **streaming results** — :func:`iter_batch` yields
-  :class:`BatchOutcome`\\ s as tasks finish (``imap_unordered`` under the
-  hood, with an ordering buffer restoring input order by default, and an
-  optional ``max_buffered`` bound switching to windowed dispatch so one
-  stalled task cannot grow the buffer without limit), so long grids
-  produce output from the first completion instead of the last;
+* **streaming results** — outcomes are yielded as nodes finish, so long
+  grids produce output from the first completion instead of the last;
+  :func:`iter_batch` restores task order with a small reorder buffer by
+  default, and its optional ``max_buffered`` bound is a dispatch window
+  so one stalled task cannot grow that buffer without limit;
 * **fault isolation** — *every* task failure (infeasible threshold,
-  domain violation, crash inside a solver, timeout) is captured as a
-  failed outcome with a structured
+  domain violation, crash inside a solver or in the worker hand-off,
+  timeout) is captured as a failed outcome with a structured
   :class:`~repro.engine.policy.ErrorKind`; one bad task never aborts a
   mixed batch;
 * **retry/timeout policies** — a :class:`~repro.engine.policy.BatchPolicy`
@@ -27,21 +32,12 @@ thresholds) is executed either serially or sharded across
 * **result reuse** — with a :class:`~repro.engine.store.ResultStore`,
   outcomes of deterministic tasks are content-addressed by
   :func:`~repro.engine.store.instance_key` and served from the store on
-  repeat queries (zero solver invocations on a warm grid).
+  repeat queries (zero solver invocations, and no worker pool, on a
+  warm grid).
 
 Typical uses: solving a whole experiment grid of random instances, or
 sweeping many threshold queries over one instance to trace a frontier
 (see :func:`threshold_sweep` and :mod:`repro.analysis.frontier`).
-
-On top of flat batches the module provides a **dependency-aware task
-graph** (:class:`GraphNode` / :func:`iter_graph` / :func:`run_graph`):
-nodes carry ``depends_on`` edges and are dispatched to the same
-multiprocessing pool the moment their dependencies resolve, so
-independent chains interleave freely while ordered work (e.g. the sweep
-engine's warm-start chains, where point ``i`` seeds point ``i+1``) stays
-ordered.  Per-node deterministic seeding, fault isolation, store reuse
-and the ``initializer`` hand-off all carry over from the flat batch
-path unchanged.
 """
 
 from __future__ import annotations
@@ -51,9 +47,16 @@ import multiprocessing
 import queue as _queue
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
 from ..algorithms.result import SolverResult
 from ..core.application import PipelineApplication
@@ -77,6 +80,8 @@ __all__ = [
     "run_graph",
     "threshold_sweep",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -190,26 +195,20 @@ def _execute(
         )
 
 
-def _prepare(
-    tasks: Sequence[BatchTask], seed: int | None, policy: BatchPolicy
-) -> list[tuple[int, BatchTask, dict[str, Any], BatchPolicy]]:
-    """Validate a batch up front and attach effective opts + policy."""
-    payloads = []
-    for index, task in enumerate(tasks):
-        spec = get_solver(task.solver)
-        if spec.needs_threshold and task.threshold is None:
-            raise SolverError(
-                f"batch task {index} ({task.solver!r}) requires a threshold"
-            )
-        if not spec.needs_threshold and task.threshold is not None:
-            raise SolverError(
-                f"batch task {index} ({task.solver!r}) does not take a "
-                f"threshold"
-            )
-        payloads.append(
-            (index, task, _effective_opts(task, index, seed), policy)
+def _check_threshold_shape(task: BatchTask, label: str) -> None:
+    """Reject a task whose threshold does not fit its solver.
+
+    ``label`` names the task in the message (``"batch task 3"``,
+    ``"graph node 'a'"``); an unregistered solver raises from the
+    registry lookup itself.
+    """
+    spec = get_solver(task.solver)
+    if spec.needs_threshold and task.threshold is None:
+        raise SolverError(f"{label} ({task.solver!r}) requires a threshold")
+    if not spec.needs_threshold and task.threshold is not None:
+        raise SolverError(
+            f"{label} ({task.solver!r}) does not take a threshold"
         )
-    return payloads
 
 
 # ----------------------------------------------------------------------
@@ -325,11 +324,8 @@ def iter_batch(
     seed: int | None = None,
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
-    chunksize: int | None = 1,
     in_order: bool = True,
     max_buffered: int | None = None,
-    initializer: Any = None,
-    initargs: tuple = (),
 ) -> Iterator[BatchOutcome]:
     """Execute a batch, yielding outcomes as tasks complete.
 
@@ -339,14 +335,19 @@ def iter_batch(
     *identical* to :func:`run_batch` under the same ``seed`` — only the
     delivery changes.
 
+    A flat batch is a task graph with no edges: task ``i`` becomes the
+    dependency-free node ``"i"`` and runs through the dispatch loop of
+    :func:`iter_graph` (which see for seeding, fault isolation and store
+    reuse), so every semantic here is the graph's.
+
     Parameters
     ----------
     tasks:
         The queries to run.
     workers:
-        ``None``/``0``/``1`` runs in-process; larger values shard the
-        batch over a ``multiprocessing`` pool and stream completions
-        through ``imap_unordered``.
+        ``None``/``0``/``1`` runs in-process, lazily as the consumer
+        pulls outcomes; larger values shard the batch over a
+        ``multiprocessing`` pool of at most ``workers`` processes.
     seed:
         Base seed for randomised solvers: task ``i`` runs with
         ``seed + i`` (unless its ``opts`` already pin one).  Seeding —
@@ -358,35 +359,23 @@ def iter_batch(
         Optional :class:`~repro.engine.store.ResultStore`: deterministic
         tasks found in the store are served without invoking the solver
         (``outcome.cached`` is True), new deterministic outcomes are
-        written back.
-    chunksize:
-        Pool chunk size (streaming responsiveness vs dispatch
-        overhead); the default of 1 yields each completion as it
-        happens, ``None`` picks an even split of the *dispatched* tasks
-        (store hits excluded) across workers — better amortisation,
-        chunkier delivery.
+        written back.  Every task is looked up once before any write,
+        and a fully store-warm batch never starts a pool.
     in_order:
         True (default) buffers out-of-order completions and yields in
         task order; False yields in completion order (each outcome still
         carries its ``index``).
     max_buffered:
-        Bound on the parallel in-order path's reordering buffer.  By
-        default completions are buffered without limit, so one stalled
-        task lets every faster task's outcome pile up in memory while
-        the consumer waits.  Setting ``max_buffered`` switches that path
-        to windowed dispatch: at most ``max_buffered + 1`` tasks are in
-        flight or buffered at any moment (the ``+1`` is the stalled head
-        itself), and dispatch of further tasks waits until the head
-        completes — consumer-side backpressure at the cost of pipeline
-        slack.  ``chunksize`` is ignored on this path (dispatch is
-        per-task by construction).  Ignored for serial and
-        ``in_order=False`` runs, which never buffer.
-    initializer / initargs:
-        Run once in every *worker process* before it takes tasks
-        (forwarded to ``multiprocessing.Pool``).  The sweep engine uses
-        this to ship a pre-computed evaluation-cache snapshot to
-        workers; serial runs skip it (the parent's process state is
-        already live).
+        Bound on the in-order reorder buffer.  By default completions
+        are buffered without limit, so one stalled task lets every
+        faster task's outcome pile up in memory while the consumer
+        waits.  Setting ``max_buffered`` makes dispatch windowed: task
+        ``i`` starts only while ``i`` is at most ``max_buffered`` past
+        the lowest unfinished task, so at most ``max_buffered + 1``
+        tasks are in flight or buffered at any moment (the ``+1`` is the
+        stalled head itself) — consumer-side backpressure at the cost of
+        pipeline slack.  Ignored for ``in_order=False`` runs, which
+        never buffer.
 
     Raises
     ------
@@ -401,114 +390,22 @@ def iter_batch(
         raise SolverError(
             f"max_buffered must be >= 1 (got {max_buffered})"
         )
-    policy = policy or BatchPolicy()
-    payloads = _prepare(list(tasks), seed, policy)
-    total = len(payloads)
-    if total == 0:
-        return
-
-    # resolve store hits up front; misses carry their key for write-back
-    ready: dict[int, BatchOutcome] = {}
-    misses: list[tuple[int, BatchTask, dict[str, Any], BatchPolicy]] = []
-    keys: dict[int, str] = {}
-    if store is not None:
-        for payload in payloads:
-            index, task, opts, _ = payload
-            key = _task_key(task, opts)
-            record = store.get(key) if key is not None else None
-            record = _validated_record(record, task)
-            if record is not None:
-                ready[index] = _outcome_from_record(record, index, task)
-            else:
-                if key is not None:
-                    keys[index] = key
-                misses.append(payload)
+    tasks = list(tasks)
+    for index, task in enumerate(tasks):
+        _check_threshold_shape(task, f"batch task {index}")
+    completions = _dispatch(
+        [GraphNode(str(index), task) for index, task in enumerate(tasks)],
+        workers=workers,
+        seed=seed,
+        policy=policy or BatchPolicy(),
+        store=store,
+        window=max_buffered if in_order else None,
+    )
+    if in_order:
+        yield from _in_id_order(completions)
     else:
-        misses = payloads
-
-    def _finish(outcome: BatchOutcome) -> BatchOutcome:
-        if store is not None and _storable(outcome):
-            key = keys.get(outcome.index)
-            if key is not None:
-                store.put(key, _outcome_to_record(outcome))
-        return outcome
-
-    if workers is None or workers <= 1 or not misses:
-        # serial: tasks run lazily as the consumer pulls outcomes
-        if in_order:
-            by_index = {p[0]: p for p in misses}
-            for index in range(total):
-                if index in ready:
-                    yield ready[index]
-                else:
-                    yield _finish(_execute(by_index[index]))
-        else:
-            for outcome in sorted(ready.values(), key=lambda o: o.index):
-                yield outcome
-            for payload in misses:
-                yield _finish(_execute(payload))
-        return
-
-    workers = min(workers, len(misses))
-    if chunksize is None:
-        # even split of the *dispatched* work: deriving this from the
-        # full task count would lump a mostly-warm batch's few misses
-        # into one worker's chunk
-        chunksize = max(1, len(misses) // workers)
-    with multiprocessing.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        if in_order and max_buffered is not None:
-            # windowed dispatch: at most max_buffered + 1 tasks are in
-            # flight or completed-but-unyielded at once, so a stalled
-            # head task bounds memory instead of letting every faster
-            # completion pile up in the reordering buffer
-            window = max_buffered + 1
-            queue = deque(misses)
-            pending: deque[tuple[int, Any]] = deque()
-
-            def _pump() -> None:
-                while queue and len(pending) < window:
-                    payload = queue.popleft()
-                    pending.append(
-                        (payload[0], pool.apply_async(_execute, (payload,)))
-                    )
-
-            _pump()
-            next_index = 0
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            while pending:
-                # misses are queued in index order, so the deque head is
-                # always the lowest-index in-flight task: blocking on it
-                # is exactly the in-order wait
-                _, async_result = pending.popleft()
-                outcome = _finish(async_result.get())
-                ready[outcome.index] = outcome
-                while next_index in ready:
-                    yield ready.pop(next_index)
-                    next_index += 1
-                _pump()
-            return
-        completions = pool.imap_unordered(
-            _execute, misses, chunksize=max(1, chunksize)
-        )
-        if in_order:
-            next_index = 0
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            for outcome in completions:
-                ready[outcome.index] = _finish(outcome)
-                while next_index in ready:
-                    yield ready.pop(next_index)
-                    next_index += 1
-        else:
-            for outcome in sorted(ready.values(), key=lambda o: o.index):
-                yield outcome
-            for outcome in completions:
-                yield _finish(outcome)
+        for _, outcome in completions:
+            yield outcome
 
 
 def run_batch(
@@ -518,29 +415,15 @@ def run_batch(
     seed: int | None = None,
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
-    chunksize: int | None = None,
-    initializer: Any = None,
-    initargs: tuple = (),
 ) -> list[BatchOutcome]:
     """Execute a batch of solver tasks, returning outcomes in task order.
 
-    A convenience wrapper over :func:`iter_batch` (which see for the
-    ``policy``/``store``/``initializer`` semantics): the whole batch is
-    drained into a list.  ``chunksize`` defaults to an even split of the
-    dispatched tasks across workers — better dispatch amortisation than
-    the streaming default, identical results.
+    The drained :func:`iter_batch` (which see for the
+    ``workers``/``seed``/``policy``/``store`` semantics).
     """
     return list(
         iter_batch(
-            list(tasks),
-            workers=workers,
-            seed=seed,
-            policy=policy,
-            store=store,
-            chunksize=chunksize,
-            in_order=True,
-            initializer=initializer,
-            initargs=initargs,
+            tasks, workers=workers, seed=seed, policy=policy, store=store
         )
     )
 
@@ -697,21 +580,10 @@ def _validate_graph(
             f"graph has a dependency cycle through {cyclic}"
         )
     # standard nodes go through the registry front door: validate the
-    # threshold shape now, exactly like _prepare does for flat batches
+    # threshold shape now, exactly like iter_batch does for its tasks
     for node in nodes:
-        if node.runner is not None:
-            continue
-        spec = get_solver(node.task.solver)
-        if spec.needs_threshold and node.task.threshold is None:
-            raise SolverError(
-                f"graph node {node.name!r} ({node.task.solver!r}) "
-                f"requires a threshold"
-            )
-        if not spec.needs_threshold and node.task.threshold is not None:
-            raise SolverError(
-                f"graph node {node.name!r} ({node.task.solver!r}) does "
-                f"not take a threshold"
-            )
+        if node.runner is None:
+            _check_threshold_shape(node.task, f"graph node {node.name!r}")
 
 
 def _failed(outcome: "BatchOutcome | list[BatchOutcome]") -> bool:
@@ -740,6 +612,202 @@ def _cancelled_outcome(
     )
 
 
+def _in_id_order(pairs: Iterable[tuple[int, _T]]) -> Iterator[_T]:
+    """Yield the items of ``(id, item)`` pairs in id order ``0, 1, ...``.
+
+    The ids must be exactly ``0..n-1`` in any arrival order; an item
+    that arrives early waits in a buffer until every lower id has been
+    yielded.
+    """
+    buffered: dict[int, _T] = {}
+    next_id = 0
+    for item_id, item in pairs:
+        buffered[item_id] = item
+        while next_id in buffered:
+            yield buffered.pop(next_id)
+            next_id += 1
+
+
+def _dispatch(
+    nodes: list[GraphNode],
+    *,
+    workers: int | None,
+    seed: int | None,
+    policy: BatchPolicy,
+    store: ResultStore | None,
+    on_dep_failure: str = "run",
+    initializer: Any = None,
+    initargs: tuple = (),
+    window: int | None = None,
+) -> Iterator[tuple[int, BatchOutcome]]:
+    """The one dispatch loop behind :func:`iter_graph` and
+    :func:`iter_batch`: run validated ``nodes``, yielding
+    ``(node position, outcome)`` in completion order.
+
+    With a ``window``, the node at position ``p`` is dispatched only
+    while ``p <= lowest unfinished position + window``.  On an edgeless
+    graph that bounds how many completions an in-order consumer has to
+    buffer behind a stalled head.
+    """
+    count = len(nodes)
+    if not count:
+        return
+    position = {node.name: pos for pos, node in enumerate(nodes)}
+    children: list[list[int]] = [[] for _ in nodes]
+    waiting = [0] * count  # unfinished dependencies per node
+    for pos, node in enumerate(nodes):
+        deps = set(node.depends_on)
+        waiting[pos] = len(deps)
+        for dep in deps:
+            children[position[dep]].append(pos)
+    results: list[BatchOutcome | list[BatchOutcome] | None] = [None] * count
+    # ready nodes execute in ascending input position: deterministic
+    # serial order, deterministic dispatch order under a pool (an
+    # ascending list is already a heap)
+    ready = [pos for pos in range(count) if not waiting[pos]]
+
+    def _opts(pos: int, task: BatchTask) -> dict[str, Any]:
+        node = nodes[pos]
+        index = node.seed_index if node.seed_index is not None else pos
+        return _effective_opts(task, index, seed)
+
+    # store keys of probed misses, kept for the write-back of their
+    # outcomes (hits and runner nodes are never written)
+    keys: dict[int, str] = {}
+
+    def _probe(
+        pos: int, task: BatchTask, opts: dict[str, Any]
+    ) -> BatchOutcome | None:
+        key = _task_key(task, opts)
+        if key is None:
+            return None
+        record = _validated_record(store.get(key), task)
+        if record is None:
+            keys[pos] = key
+            return None
+        return _outcome_from_record(record, pos, task)
+
+    # probe the store up front for every node whose key is already known
+    # (no resolver, no dependencies): one read pass before any write, so
+    # a capped LRU store refreshes all its hits before the first
+    # eviction-triggering put can evict a record the graph was about to
+    # reuse.  Misses are recorded too (as None): the node was probed
+    # once and must not be probed again at dispatch (store stats count
+    # one lookup per task)
+    prefetched: dict[int, BatchOutcome | None] = {}
+    if store is not None:
+        for pos, node in enumerate(nodes):
+            if (
+                node.runner is None
+                and node.resolve is None
+                and not node.depends_on
+            ):
+                prefetched[pos] = _probe(pos, node.task, _opts(pos, node.task))
+
+    def _resolve(
+        pos: int,
+    ) -> (
+        tuple[BatchOutcome, None]
+        | tuple[None, tuple[int, BatchTask, dict[str, Any], BatchPolicy]]
+    ):
+        """Either an immediate outcome (store hit, cancellation) or the
+        payload to execute."""
+        node = nodes[pos]
+        task = node.task
+        hit = None
+        if pos in prefetched:  # dependency-free and already probed once
+            hit = prefetched.pop(pos)
+        else:
+            deps = {dep: results[position[dep]] for dep in node.depends_on}
+            failed_deps = [dep for dep, out in deps.items() if _failed(out)]
+            if failed_deps and on_dep_failure == "skip":
+                return _cancelled_outcome(pos, task, failed_deps), None
+            if node.resolve is not None:
+                task = node.resolve(task, deps)
+            if store is not None and node.runner is None:
+                hit = _probe(pos, task, _opts(pos, task))
+        if hit is not None:
+            return hit, None
+        return None, (pos, task, _opts(pos, task), policy)
+
+    parallel = workers is not None and workers > 1
+    pool: multiprocessing.pool.Pool | None = None
+    done: _queue.SimpleQueue = _queue.SimpleQueue()
+    in_flight = finished = lowest = 0
+    try:
+        while finished < count:
+            outcome = None
+            while ready and (window is None or ready[0] <= lowest + window):
+                pos = heapq.heappop(ready)
+                outcome, payload = _resolve(pos)
+                if outcome is not None:
+                    break
+                node = nodes[pos]
+                fn = node.runner if node.runner is not None else _execute
+                if not parallel:
+                    outcome = fn(payload)
+                    break
+                if pool is None:
+                    # sized to the work: never more processes than
+                    # nodes left to run
+                    pool = multiprocessing.Pool(
+                        processes=min(workers, count - finished),
+                        initializer=initializer,
+                        initargs=initargs,
+                    )
+                pool.apply_async(
+                    fn,
+                    (payload,),
+                    callback=lambda out, pos=pos: done.put((pos, out, None)),
+                    error_callback=lambda exc, pos=pos: done.put(
+                        (pos, None, exc)
+                    ),
+                )
+                in_flight += 1
+            if outcome is None:
+                if not in_flight:  # pragma: no cover - guarded by validation
+                    raise SolverError(
+                        "graph made no progress (unreachable nodes?)"
+                    )
+                pos, outcome, exc = done.get()
+                in_flight -= 1
+                if exc is not None:
+                    # the worker function itself failed outside the
+                    # solver guard (unpicklable return, runner bug):
+                    # report it as a crashed outcome, never a lost node
+                    task = nodes[pos].task
+                    outcome = BatchOutcome(
+                        index=pos,
+                        solver=task.solver,
+                        tag=task.tag,
+                        result=None,
+                        error=f"{type(exc).__name__}: {exc}",
+                        elapsed=0.0,
+                        task=task,
+                        error_kind=ErrorKind.CRASH,
+                    )
+            key = keys.pop(pos, None)
+            if key is not None and _storable(outcome):
+                store.put(key, _outcome_to_record(outcome))
+            results[pos] = outcome
+            finished += 1
+            for child in children[pos]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    heapq.heappush(ready, child)
+            while lowest < count and results[lowest] is not None:
+                lowest += 1
+            if isinstance(outcome, list):
+                for sub in outcome:
+                    yield pos, sub
+            else:
+                yield pos, outcome
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+
 def iter_graph(
     nodes: Iterable[GraphNode],
     *,
@@ -758,25 +826,32 @@ def iter_graph(
     a plan of many chains keeps every core busy even though each chain
     is internally sequential.  Yield order is completion order (each
     pair still names its node); multi-outcome runner nodes yield one
-    pair per outcome, in the runner's order.
-
-    Semantics carried over from :func:`iter_batch`:
+    pair per outcome, in the runner's order.  This is the executor's
+    one dispatch loop; :func:`iter_batch` runs a flat batch through it
+    as a graph with no edges, so every semantic below holds there too:
 
     * **deterministic seeding** — node ``i`` (or ``seed_index`` when the
       node pins one) runs with ``seed + i`` unless its resolved opts
       already carry a seed; independent of ``workers``;
-    * **fault isolation** — failures become failed outcomes; with the
-      default ``on_dep_failure="run"`` dependents still run (their
-      ``resolve`` hook sees the failure and decides what to do — the
-      sweep engine's chains fall back to the last good seed), while
-      ``"skip"`` short-circuits dependents of failed nodes into
-      synthetic outcomes with :attr:`ErrorKind.CANCELLED`;
-    * **store reuse** — standard nodes probe the store *after*
-      resolution (a warm-start seed is part of the key), hits resolve
-      without dispatching, new deterministic outcomes are written back.
-      A fully store-warm graph never creates the worker pool at all;
-    * **initializer hand-off** — forwarded to the pool (created lazily
-      on the first real dispatch).
+    * **fault isolation** — failures become failed outcomes, including
+      a failure outside the solver guard (e.g. a result that cannot be
+      pickled back from a worker), which is an :attr:`ErrorKind.CRASH`
+      outcome; with the default ``on_dep_failure="run"`` dependents
+      still run (their ``resolve`` hook sees the failure and decides
+      what to do — the sweep engine's chains fall back to the last good
+      seed), while ``"skip"`` short-circuits dependents of failed nodes
+      into synthetic outcomes with :attr:`ErrorKind.CANCELLED`;
+    * **store reuse** — nodes whose key is known up front (no
+      dependencies, no resolver) are all probed before any write; the
+      others probe *after* resolution (a warm-start seed is part of the
+      key).  Hits resolve without dispatching, new deterministic
+      outcomes are written back, and a fully store-warm graph never
+      creates the worker pool at all;
+    * **pool** — created lazily on the first real dispatch, with
+      ``min(workers, nodes not yet finished)`` processes, each running
+      ``initializer(*initargs)`` once before it takes tasks (the sweep
+      engine ships its evaluation-term snapshot this way; serial runs
+      skip it, as the parent's process state is already live).
 
     Raises
     ------
@@ -787,206 +862,17 @@ def iter_graph(
     """
     nodes = list(nodes)
     _validate_graph(nodes, on_dep_failure)
-    policy = policy or BatchPolicy()
-    if not nodes:
-        return
-
-    position = {node.name: i for i, node in enumerate(nodes)}
-    children: dict[str, list[str]] = {n.name: [] for n in nodes}
-    pending_deps: dict[str, int] = {}
-    for node in nodes:
-        deps = set(node.depends_on)
-        pending_deps[node.name] = len(deps)
-        for dep in deps:
-            children[dep].append(node.name)
-
-    results: dict[str, BatchOutcome | list[BatchOutcome]] = {}
-    # ready nodes execute in ascending input position: deterministic
-    # serial order, deterministic dispatch order under a pool
-    ready: list[int] = [
-        position[n.name] for n in nodes if pending_deps[n.name] == 0
-    ]
-    heapq.heapify(ready)
-
-    # probe the store up front for every node whose key is already
-    # known (no resolver, no dependencies) — one read pass before any
-    # write, exactly like iter_batch, so a capped LRU store refreshes
-    # all its hits before the first eviction-triggering put can evict
-    # a record the graph was about to reuse.  Misses are recorded too
-    # (as None): the node was probed once, and must not be re-probed
-    # at dispatch time (store stats count one lookup per task)
-    prefetched: dict[str, BatchOutcome | None] = {}
-    if store is not None:
-        for node in nodes:
-            if (
-                node.runner is not None
-                or node.resolve is not None
-                or node.depends_on
-            ):
-                continue
-            pos = position[node.name]
-            idx = node.seed_index if node.seed_index is not None else pos
-            opts = _effective_opts(node.task, idx, seed)
-            key = _task_key(node.task, opts)
-            record = store.get(key) if key is not None else None
-            record = _validated_record(record, node.task)
-            prefetched[node.name] = (
-                _outcome_from_record(record, pos, node.task)
-                if record is not None
-                else None
-            )
-
-    parallel = workers is not None and workers > 1
-    pool: multiprocessing.pool.Pool | None = None
-    done: _queue.SimpleQueue = _queue.SimpleQueue()
-    in_flight = 0
-
-    def _complete(
-        name: str, outcome: BatchOutcome | list[BatchOutcome]
-    ) -> None:
-        results[name] = outcome
-        for child in children[name]:
-            pending_deps[child] -= 1
-            if pending_deps[child] == 0:
-                heapq.heappush(ready, position[child])
-
-    def _resolve(
-        node: GraphNode,
-    ) -> (
-        tuple[str, BatchOutcome | list[BatchOutcome]]
-        | tuple[None, tuple[int, BatchTask, dict[str, Any], BatchPolicy]]
+    for pos, outcome in _dispatch(
+        nodes,
+        workers=workers,
+        seed=seed,
+        policy=policy or BatchPolicy(),
+        store=store,
+        on_dep_failure=on_dep_failure,
+        initializer=initializer,
+        initargs=initargs,
     ):
-        """Prepare a ready node: either an immediate outcome (store
-        hit, cancellation), tagged via a non-None first element, or
-        ``(None, payload)`` for dispatch."""
-        pos = position[node.name]
-        deps = {dep: results[dep] for dep in node.depends_on}
-        failed_deps = [dep for dep, out in deps.items() if _failed(out)]
-        task = node.task
-        if failed_deps and on_dep_failure == "skip":
-            return ("cancelled", _cancelled_outcome(pos, task, failed_deps))
-        probe = True
-        if node.name in prefetched:
-            hit = prefetched.pop(node.name)
-            if hit is not None:
-                return ("hit", hit)
-            probe = False  # already probed (a miss): don't count twice
-        if node.resolve is not None:
-            task = node.resolve(task, deps)
-        idx = node.seed_index if node.seed_index is not None else pos
-        opts = _effective_opts(task, idx, seed)
-        if probe and node.runner is None and store is not None:
-            key = _task_key(task, opts)
-            record = store.get(key) if key is not None else None
-            record = _validated_record(record, task)
-            if record is not None:
-                return ("hit", _outcome_from_record(record, pos, task))
-        return (None, (pos, task, opts, policy))
-
-    def _finish_store(
-        node: GraphNode,
-        outcome: BatchOutcome | list[BatchOutcome],
-    ) -> None:
-        if node.runner is not None or store is None:
-            return
-        assert isinstance(outcome, BatchOutcome)
-        if _storable(outcome):
-            # key the *resolved* task under the same effective opts the
-            # dispatch used, so replay probes (which resolve first) hit
-            idx = (
-                node.seed_index
-                if node.seed_index is not None
-                else position[node.name]
-            )
-            key = _task_key(
-                outcome.task, _effective_opts(outcome.task, idx, seed)
-            )
-            if key is not None:
-                store.put(key, _outcome_to_record(outcome))
-
-    try:
-        while len(results) < len(nodes):
-            progressed = False
-            while ready:
-                node = nodes[heapq.heappop(ready)]
-                status, prepared = _resolve(node)
-                if status is not None:
-                    outcome = prepared
-                    _complete(node.name, outcome)
-                    progressed = True
-                    if isinstance(outcome, list):
-                        for sub in outcome:
-                            yield (node.name, sub)
-                    else:
-                        yield (node.name, outcome)
-                    continue
-                payload = prepared
-                fn = node.runner if node.runner is not None else _execute
-                if parallel:
-                    if pool is None:
-                        pool = multiprocessing.Pool(
-                            processes=workers,
-                            initializer=initializer,
-                            initargs=initargs,
-                        )
-                    name = node.name
-                    pool.apply_async(
-                        fn,
-                        (payload,),
-                        callback=lambda out, name=name: done.put(
-                            (name, out, None)
-                        ),
-                        error_callback=lambda exc, name=name: done.put(
-                            (name, None, exc)
-                        ),
-                    )
-                    in_flight += 1
-                    progressed = True
-                else:
-                    outcome = fn(payload)
-                    _finish_store(node, outcome)
-                    _complete(node.name, outcome)
-                    progressed = True
-                    if isinstance(outcome, list):
-                        for sub in outcome:
-                            yield (node.name, sub)
-                    else:
-                        yield (node.name, outcome)
-            if len(results) == len(nodes):
-                break
-            if in_flight:
-                name, outcome, exc = done.get()
-                in_flight -= 1
-                node = nodes[position[name]]
-                if exc is not None:
-                    # the worker function itself failed outside the
-                    # solver guard (unpicklable return, runner bug):
-                    # report it as a crashed outcome, never a lost node
-                    outcome = BatchOutcome(
-                        index=position[name],
-                        solver=node.task.solver,
-                        tag=node.task.tag,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        elapsed=0.0,
-                        task=node.task,
-                        error_kind=ErrorKind.CRASH,
-                    )
-                _finish_store(node, outcome)
-                _complete(name, outcome)
-                if isinstance(outcome, list):
-                    for sub in outcome:
-                        yield (name, sub)
-                else:
-                    yield (name, outcome)
-            elif not progressed:  # pragma: no cover - guarded by _validate
-                raise SolverError(
-                    "graph made no progress (unreachable nodes?)"
-                )
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        yield nodes[pos].name, outcome
 
 
 def run_graph(

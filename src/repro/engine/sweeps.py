@@ -93,6 +93,7 @@ from .batch import (
     GraphNode,
     _effective_opts,
     _execute,
+    _in_id_order,
     _outcome_from_record,
     _task_key,
     _validated_record,
@@ -1054,13 +1055,7 @@ def iter_sweep(
                     yield (build.cell_index, _cell_done(build))
 
         if in_order:
-            buffered: dict[int, Any] = {}
-            next_emit = 0
-            for item_id, item in _events():
-                buffered[item_id] = item
-                while next_emit in buffered:
-                    yield buffered.pop(next_emit)
-                    next_emit += 1
+            yield from _in_id_order(_events())
         else:
             for _, item in _events():
                 yield item

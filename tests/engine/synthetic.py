@@ -94,6 +94,22 @@ def gated_min_fp(application, platform, threshold, *, gate, counter_file):
     return greedy_minimize_fp(application, platform, threshold)
 
 
+class UnpicklableResult:
+    """A solver result that cannot travel back from a worker process."""
+
+    def __reduce__(self):
+        raise TypeError("synthetic result cannot be pickled")
+
+
+def unpicklable_min_fp(application, platform, threshold, *, poison=False):
+    """Returns an :class:`UnpicklableResult` when ``poison=True``, else
+    delegates to greedy: the failure happens outside the solver guard,
+    in the worker's hand-off of the outcome."""
+    if poison:
+        return UnpicklableResult()
+    return greedy_minimize_fp(application, platform, threshold)
+
+
 def invocations(counter_file) -> int:
     """Number of solver invocations recorded in a counter/scratch file."""
     path = Path(counter_file)
