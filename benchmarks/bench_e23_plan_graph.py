@@ -1,6 +1,6 @@
-"""E23 — plan-level task-graph execution and sharded bulk kernels.
+"""E23 — plan-level task-graph execution.
 
-Quantifies the three claims of the graph-backed sweep engine:
+Quantifies the two claims of the graph-backed sweep engine:
 
 * **whole-plan parallelism** — a multi-instance chained plan compiles
   to one dependency graph, so independent chains interleave across the
@@ -10,17 +10,11 @@ Quantifies the three claims of the graph-backed sweep engine:
   chained objectives at every grid point;
 * **streaming delivery** — :func:`~repro.engine.sweeps.iter_sweep`
   yields the first completed cell long before the plan finishes: the
-  time-to-first-cell must be well under the full-plan wall-clock;
-* **sharded bulk kernels** — :class:`~repro.core.metrics_bulk.
-  BulkEvaluator` with ``shards`` splits large mapping blocks across a
-  thread pool (numpy releases the GIL inside the kernels), bit-identical
-  rows at higher rows/s on multi-core hosts.
+  time-to-first-cell must be well under the full-plan wall-clock.
 """
 
 import os
 import time
-
-import pytest
 
 from repro.api import (
     SweepInstance,
@@ -137,51 +131,6 @@ def test_e23_time_to_first_cell():
     assert first_after < 0.5 * total, (
         f"first cell took {first_after:.3f}s of a {total:.3f}s plan"
     )
-
-
-def test_e23_sharded_bulk_rows_per_second():
-    """Threaded shards: identical rows, reported as rows/s."""
-    np = pytest.importorskip("numpy", exc_type=ImportError)
-    from repro.core import BulkEvaluator, MappingBlock
-    from repro.core.enumeration import enumerate_interval_mappings
-
-    n, m = 13, 4
-    app, plat = make_instance("fully-heterogeneous", n, m, 5)
-    mappings = list(enumerate_interval_mappings(n, m))
-    block = MappingBlock.from_mappings(mappings, n, m)
-    rows = len(block)
-
-    def timed(evaluator):
-        best = None
-        for _ in range(3):
-            start = time.perf_counter()
-            lats = evaluator.latencies(block)
-            fps = evaluator.failure_probabilities(block)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best, lats, fps
-
-    single_time, lats1, fps1 = timed(BulkEvaluator(app, plat))
-    sharded_time, lats4, fps4 = timed(BulkEvaluator(app, plat, shards=4))
-
-    assert np.array_equal(lats1, lats4)
-    assert np.array_equal(fps1, fps4)
-
-    speedup = single_time / max(sharded_time, 1e-9)
-    report(
-        f"E23: sharded bulk evaluation ({rows} rows, n={n}, m={m}, "
-        f"fully heterogeneous)",
-        ("path", "rows/s", "speedup"),
-        [
-            ("single shard", f"{rows / single_time:,.0f}", "1.0x"),
-            ("4 thread shards", f"{rows / sharded_time:,.0f}",
-             f"{speedup:.2f}x"),
-        ],
-    )
-    # bit-identity is the hard guarantee; on multi-core hosts the
-    # shards must at least not structurally slow the kernels down
-    if MULTICORE:
-        assert speedup > 0.8, f"sharding slowed kernels to {speedup:.2f}x"
 
 
 def test_e23_bench_streamed_plan(benchmark):

@@ -149,7 +149,6 @@ def exhaustive_pareto_front(
     search_cap: int = DEFAULT_SEARCH_CAP,
     use_bulk: bool | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    bulk_shards: int | None = None,
     bulk_backend: str | None = None,
 ) -> list[BiCriteriaPoint]:
     """The exact Pareto front of (latency, FP) over all interval mappings.
@@ -160,11 +159,9 @@ def exhaustive_pareto_front(
     into mappings and re-evaluated through the scalar path, and the
     final front is assembled from the scalar values — so the reported
     numbers stay scalar-exact while the sweep itself is a handful of
-    array operations per block (bench E20).  ``bulk_shards`` splits
-    each block's rows across threads
-    (see :class:`repro.core.metrics_bulk.BulkEvaluator`), bit-identical
-    to the single-pass evaluation; ``bulk_backend`` picks the
-    evaluator's array engine.
+    array operations per block (bench E20).  ``bulk_backend`` picks the
+    evaluator's array engine
+    (see :class:`repro.core.metrics_bulk.BulkEvaluator`).
     """
     if not resolve_use_bulk(use_bulk):
         points = [
@@ -184,7 +181,6 @@ def exhaustive_pareto_front(
         application,
         platform,
         one_port=one_port,
-        shards=bulk_shards,
         backend=bulk_backend,
     )
     cache = EvaluationCache(application, platform, one_port=one_port)
@@ -289,7 +285,6 @@ def _best_bulk(
     one_port: bool = True,
     search_cap: int = DEFAULT_SEARCH_CAP,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    bulk_shards: int | None = None,
     bulk_backend: str | None = None,
     recorder: Any = None,
 ) -> SolverResult:
@@ -305,7 +300,6 @@ def _best_bulk(
         application,
         platform,
         one_port=one_port,
-        shards=bulk_shards,
         backend=bulk_backend,
     )
     best_key: tuple[float, float] | None = None
@@ -355,7 +349,6 @@ def exhaustive_minimize_fp(
     search_cap: int = DEFAULT_SEARCH_CAP,
     tolerance: float = 1e-9,
     use_bulk: bool | None = None,
-    bulk_shards: int | None = None,
     bulk_backend: str | None = None,
     recorder: Any = None,
 ) -> SolverResult:
@@ -364,10 +357,10 @@ def exhaustive_minimize_fp(
     Ties on FP are broken by lower latency.  ``use_bulk`` selects the
     vectorized block path (``None`` = automatic when numpy is present);
     the winning mapping's reported objectives are always scalar-exact.
-    ``bulk_shards`` splits each block's rows across threads on the bulk
-    path (bit-identical results; ignored on the scalar path) and
-    ``bulk_backend`` picks its array engine (``"auto"`` / ``"jit"`` /
-    ``"numpy"``, see :func:`repro.core.metrics_bulk.resolve_backend`).
+    ``bulk_backend`` picks the bulk path's array engine (``"auto"`` /
+    ``"jit"`` / ``"numpy"``, see
+    :func:`repro.core.metrics_bulk.resolve_backend`; ignored on the
+    scalar path).
     ``recorder`` (a :class:`repro.engine.recorder.RunRecorder`) captures
     every incumbent improvement (scalar path) or block-level winner
     confirmation (bulk path); the two vocabularies differ by design, so
@@ -383,7 +376,6 @@ def exhaustive_minimize_fp(
             solver="exhaustive-min-fp",
             one_port=one_port,
             search_cap=search_cap,
-            bulk_shards=bulk_shards,
             bulk_backend=bulk_backend,
             recorder=recorder,
         )
@@ -408,7 +400,6 @@ def exhaustive_minimize_latency(
     search_cap: int = DEFAULT_SEARCH_CAP,
     tolerance: float = 1e-9,
     use_bulk: bool | None = None,
-    bulk_shards: int | None = None,
     bulk_backend: str | None = None,
     recorder: Any = None,
 ) -> SolverResult:
@@ -416,8 +407,7 @@ def exhaustive_minimize_latency(
 
     Ties on latency are broken by lower FP.  ``use_bulk`` selects the
     vectorized block path (``None`` = automatic when numpy is present);
-    ``bulk_shards``/``bulk_backend`` as in
-    :func:`exhaustive_minimize_fp`.
+    ``bulk_backend`` as in :func:`exhaustive_minimize_fp`.
     ``recorder`` behaves as in :func:`exhaustive_minimize_fp`.
     """
     slack = tolerance * max(1.0, abs(fp_threshold))
@@ -430,7 +420,6 @@ def exhaustive_minimize_latency(
             solver="exhaustive-min-latency",
             one_port=one_port,
             search_cap=search_cap,
-            bulk_shards=bulk_shards,
             bulk_backend=bulk_backend,
             recorder=recorder,
         )
@@ -456,7 +445,6 @@ def exhaustive_sweep_min_fp(
     tolerance: float = 1e-9,
     use_bulk: bool | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    bulk_shards: int | None = None,
     bulk_backend: str | None = None,
 ) -> list[SolverResult | None]:
     """Answer many 'min FP s.t. latency <= L' queries in one enumeration.
@@ -467,9 +455,8 @@ def exhaustive_sweep_min_fp(
     mapping space is enumerated and evaluated **once** for the whole
     grid instead of once per threshold, which is what makes dense
     frontier sweeps tractable (:func:`repro.analysis.frontier.sweep_frontier`
-    routes exhaustive sweeps here).  ``bulk_shards`` splits each
-    block's rows across threads on the bulk path (bit-identical);
-    ``bulk_backend`` picks the evaluator's array engine.
+    routes exhaustive sweeps here).  ``bulk_backend`` picks the
+    evaluator's array engine.
     """
     thresholds = list(thresholds)
     if not thresholds:
@@ -498,7 +485,6 @@ def exhaustive_sweep_min_fp(
         application,
         platform,
         one_port=one_port,
-        shards=bulk_shards,
         backend=bulk_backend,
     )
     bounds = [t + tolerance * max(1.0, abs(t)) for t in thresholds]

@@ -19,10 +19,12 @@ the examples and the solve service.
     sim = api.load_spec({"kind": "simulation", ...})
     report = api.run_simulation(sim)              # solve → run → fail → re-solve
 
-The facade is additive: the deep ``repro.engine.*`` /
-``repro.simulation.*`` import paths keep working (the covered
-``repro.engine`` names emit a :class:`DeprecationWarning` pointing
-here), but new code — and all shipped examples — imports from here.
+The facade is additive: the deep module paths
+(``repro.engine.registry``, ``repro.engine.sweeps``,
+``repro.simulation.dynamic``, ...) keep working, but new code — and all
+shipped examples — imports from here.  The ``repro.engine`` package
+itself binds only engine-level names (stores, graph nodes, replay
+types); the entry points listed here are not re-exported there.
 
 **Schema versioning.**  :data:`SCHEMA_VERSION` is the version of the
 declarative JSON spec dialect spoken by :func:`plan_from_spec` /

@@ -58,19 +58,18 @@ knob (``"auto" | "jit" | "numpy"``, resolved by
 :func:`resolve_backend` like :func:`resolve_use_bulk` resolves the bulk
 knob): with numba installed (:data:`HAS_NUMBA`) the compiled kernels of
 :mod:`repro.core.metrics_kernels` fuse each row's whole evaluation into
-one loop nest and parallelise over rows with ``prange`` — replacing the
-thread-shard fan-out (no nested parallelism).  ``"auto"`` prefers the
-compiled kernels and falls back to numpy; the scalar fallback stays at
-the :func:`resolve_use_bulk` level.  All backends honour the same
-:data:`BULK_RELATIVE_TOLERANCE` contract, so the consumers' scalar
-confirmation keeps trajectories bit-identical across every backend.
+one loop nest and parallelise over rows with ``prange``.  ``"auto"``
+prefers the compiled kernels and falls back to numpy; the scalar
+fallback stays at the :func:`resolve_use_bulk` level.  All backends
+honour the same :data:`BULK_RELATIVE_TOLERANCE` contract, so the
+consumers' scalar confirmation keeps trajectories bit-identical across
+every backend.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..exceptions import SolverError
 from . import metrics_kernels as _kernels
@@ -94,7 +93,6 @@ __all__ = [
     "BULK_RELATIVE_TOLERANCE",
     "MASK_TABLE_LIMIT",
     "SEND_TABLE_ENTRIES",
-    "SHARD_MIN_ROWS",
     "MappingBlock",
     "BlockBuilder",
     "BulkEvaluator",
@@ -120,11 +118,6 @@ MASK_TABLE_LIMIT = 16
 #: :data:`MASK_TABLE_LIMIT`, eq. (2) falls back to the row-chunked
 #: bit-matrix path.
 SEND_TABLE_ENTRIES = 1 << 21
-
-#: Blocks with fewer rows than this are evaluated in one pass even when
-#: the evaluator was built with ``shards > 1``: below it, the thread
-#: fan-out costs more than the numpy work it parallelises.
-SHARD_MIN_ROWS = 2048
 
 
 def _require_numpy() -> None:
@@ -401,26 +394,13 @@ class BulkEvaluator:
     (:meth:`_build_eq2_tables`); past it, computed from a bit matrix in
     row chunks (:meth:`_serialized_sends`).
 
-    ``shards`` enables threaded row-sharding for large blocks: the
-    block is split into ``shards`` contiguous row ranges evaluated
-    concurrently through a thread pool (numpy releases the GIL inside
-    its kernels, so the shards genuinely overlap on multi-core hosts).
-    Every reduction in both objective formulas is *within one row*, so
-    the concatenated shard results are **bit-identical** to the
-    single-pass evaluation — the scalar-confirmation contract of the
-    consumers is untouched.  Blocks under ``shard_min_rows`` rows
-    (default :data:`SHARD_MIN_ROWS`) skip the fan-out; the executor is
-    created lazily on the first sharded call and reused across blocks
-    (closed on :meth:`close` / context exit / garbage collection).
-    ``None``/``1`` (default) disables sharding.
-
-    ``backend`` selects the array engine (see :func:`resolve_backend`):
-    ``"jit"`` routes both objectives through the fused compiled kernels
-    of :mod:`repro.core.metrics_kernels`, whose ``prange`` row loop owns
-    the parallelism — the thread-shard fan-out is bypassed entirely on
-    that backend.  Construction runs one tiny warm-up block through the
-    kernels so the JIT compile cost is paid up front, never inside a
-    latency-sensitive request.
+    Each block is evaluated in one pass.  ``backend`` selects the array
+    engine (see :func:`resolve_backend`): ``"jit"`` routes both
+    objectives through the fused compiled kernels of
+    :mod:`repro.core.metrics_kernels`, whose ``prange`` row loop
+    parallelises over rows.  Construction runs one tiny warm-up block
+    through the kernels so the JIT compile cost is paid up front, never
+    inside a latency-sensitive request.
     """
 
     def __init__(
@@ -429,26 +409,13 @@ class BulkEvaluator:
         platform: Platform,
         *,
         one_port: bool = True,
-        shards: int | None = None,
         backend: str | None = None,
-        shard_min_rows: int | None = None,
     ) -> None:
         _require_numpy()
-        if shards is not None and shards < 1:
-            raise SolverError(f"shards must be >= 1, got {shards}")
-        if shard_min_rows is not None and shard_min_rows < 1:
-            raise SolverError(
-                f"shard_min_rows must be >= 1, got {shard_min_rows}"
-            )
         self.application = application
         self.platform = platform
         self.one_port = one_port
-        self.shards = 1 if shards is None else int(shards)
         self.backend = resolve_backend(backend)
-        self.shard_min_rows = (
-            SHARD_MIN_ROWS if shard_min_rows is None else int(shard_min_rows)
-        )
-        self._executor: ThreadPoolExecutor | None = None
         n = application.num_stages
         m = platform.size
         self._n = n
@@ -498,28 +465,6 @@ class BulkEvaluator:
             self._build_eq2_tables()
         if self.backend == "jit":
             self._warmup_jit()
-
-    # ------------------------------------------------------------------
-    # lifecycle: the persistent shard executor
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the persistent shard executor, if one was created."""
-        executor = self._executor
-        if executor is not None:
-            self._executor = None
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "BulkEvaluator":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     def _build_mask_tables(self) -> None:
@@ -597,40 +542,6 @@ class BulkEvaluator:
         starts[:, 1:] = block.ends[:, :-1] + 1
         return starts
 
-    def _sharded(
-        self,
-        block: MappingBlock,
-        fn: Callable[[MappingBlock], "np.ndarray"],
-    ) -> "np.ndarray":
-        """Apply a per-row kernel to the block, sharding large ones.
-
-        Rows are independent in every kernel (all reductions run along
-        the interval/processor axes of one row), so evaluating
-        contiguous row ranges concurrently and concatenating is exact —
-        not merely tolerance-close — to the single-pass result.
-        """
-        rows = len(block)
-        shards = min(self.shards, max(1, rows // self.shard_min_rows))
-        if shards <= 1:
-            return fn(block)
-        bounds = [
-            (rows * s // shards, rows * (s + 1) // shards)
-            for s in range(shards)
-        ]
-        slices = [
-            MappingBlock(
-                num_stages=block.num_stages,
-                num_processors=block.num_processors,
-                ends=block.ends[lo:hi],
-                masks=block.masks[lo:hi],
-            )
-            for lo, hi in bounds
-        ]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.shards)
-        parts = list(self._executor.map(fn, slices))
-        return _np.concatenate(parts)
-
     # ------------------------------------------------------------------
     # failure probability
     # ------------------------------------------------------------------
@@ -639,7 +550,7 @@ class BulkEvaluator:
         self._check_block(block)
         if self.backend == "jit":
             return self._failure_probabilities_jit(block)
-        return self._sharded(block, self._failure_probabilities_of)
+        return self._failure_probabilities_of(block)
 
     def _failure_probabilities_of(
         self, block: MappingBlock
@@ -667,7 +578,7 @@ class BulkEvaluator:
         self._check_block(block)
         if self.backend == "jit":
             return self._latencies_jit(block)
-        return self._sharded(block, self._latencies_of)
+        return self._latencies_of(block)
 
     def _latencies_of(self, block: MappingBlock) -> "np.ndarray":
         if self._uniform:

@@ -8,9 +8,7 @@ remains memory-bandwidth-bound — every intermediate still streams
 per-row computation (input sends, per-interval compute, serialized
 inter-interval sends, the max over replicas) into one loop nest per
 mapping row, compiled with numba ``@njit(cache=True, parallel=True)``
-and parallelised over rows with ``prange`` — replacing the
-ThreadPoolExecutor shard fan-out when the compiled backend is active
-(no nested parallelism).
+and parallelised over rows with ``prange``.
 
 Three kernels cover both objectives:
 

@@ -33,29 +33,29 @@ parallel, fault-isolated solving service:
   :func:`replay_run` / :func:`diff_runs` re-execute and halt at the
   first divergence with structured diagnostics.
 
-Quickstart::
+The supported entry points (``solve``, ``iter_batch``, ``run_sweep``,
+``open_store``, ...) are imported from the stable facade
+:mod:`repro.api`; this package binds only the engine-level names in
+:data:`__all__`.  Quickstart::
 
-    from repro import engine
+    from repro import api
     from repro.workloads.synthetic import random_application, random_platform
 
     app = random_application(4, seed=0)
     plat = random_platform(4, "comm-homogeneous", seed=1)
 
-    result = engine.solve("local-search-min-fp", app, plat, threshold=30.0)
+    result = api.solve("local-search-min-fp", app, plat, threshold=30.0)
 
     # stream a sweep with fault isolation, retries and a warm store
-    store = engine.open_store("results.sqlite")
-    policy = engine.BatchPolicy(retries=1, timeout=30.0)
-    for outcome in engine.iter_batch(
-        [engine.BatchTask("greedy-min-fp", app, plat, threshold=t)
+    store = api.open_store("results.sqlite")
+    policy = api.BatchPolicy(retries=1, timeout=30.0)
+    for outcome in api.iter_batch(
+        [api.BatchTask("greedy-min-fp", app, plat, threshold=t)
          for t in (10, 20, 30, 40)],
         workers=4, policy=policy, store=store,
     ):
         print(outcome.tag, outcome.ok, outcome.error_kind)
 """
-
-import importlib
-import warnings
 
 from .batch import GraphNode, iter_graph, run_graph
 from .policy import TaskTimeoutError
@@ -76,103 +76,23 @@ from .store import (
 )
 from .sweeps import SPEC_SCHEMA_VERSION
 
-#: facade-covered names: importable from here for compatibility, but the
-#: supported path is ``repro.api`` — package-level access warns.  Deep
-#: module paths (``repro.engine.registry.solve``, ...) stay warning-free.
-_FACADE_COVERED = {
-    "Objective": "registry",
-    "SolverSpec": "registry",
-    "get_solver": "registry",
-    "solver_names": "registry",
-    "solver_specs": "registry",
-    "solve": "registry",
-    "BatchTask": "batch",
-    "BatchOutcome": "batch",
-    "iter_batch": "batch",
-    "run_batch": "batch",
-    "threshold_sweep": "batch",
-    "BatchPolicy": "policy",
-    "ErrorKind": "policy",
-    "ResultStore": "store",
-    "StoreStats": "store",
-    "open_store": "store",
-    "SweepInstance": "sweeps",
-    "SweepSolver": "sweeps",
-    "SweepPlan": "sweeps",
-    "SweepCell": "sweeps",
-    "SweepResult": "sweeps",
-    "SweepPoint": "sweeps",
-    "run_sweep": "sweeps",
-    "iter_sweep": "sweeps",
-    "RunRecording": "recorder",
-    "record_run": "recorder",
-    "ReplayReport": "replay",
-    "diff_runs": "replay",
-    "replay_run": "replay",
-}
-
-
-def __getattr__(name: str):
-    try:
-        submodule = _FACADE_COVERED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"importing {name!r} from 'repro.engine' is deprecated; "
-        f"use 'repro.api.{name}' (the stable facade)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(f".{submodule}", __name__), name)
-
 __all__ = [
-    "Objective",
-    "SolverSpec",
     "register",
     "unregister",
-    "get_solver",
-    "solver_names",
-    "solver_specs",
-    "solve",
-    "BatchTask",
-    "BatchOutcome",
-    "iter_batch",
-    "run_batch",
-    "threshold_sweep",
     "GraphNode",
     "iter_graph",
     "run_graph",
-    "BatchPolicy",
-    "ErrorKind",
     "TaskTimeoutError",
-    "ResultStore",
     "MemoryStore",
     "JSONStore",
     "SQLiteStore",
     "ThreadSafeStore",
-    "StoreStats",
     "instance_key",
-    "open_store",
     "SPEC_SCHEMA_VERSION",
-    "SweepInstance",
-    "SweepSolver",
-    "SweepPlan",
-    "SweepCell",
-    "SweepResult",
-    "SweepPoint",
-    "run_sweep",
-    "iter_sweep",
     "RunRecorder",
-    "RunRecording",
-    "record_run",
     "recording_key",
     "ReplayStatus",
-    "ReplayReport",
     "Divergence",
     "FieldDiff",
     "DEFAULT_IGNORE",
-    "diff_runs",
-    "replay_run",
 ]

@@ -22,7 +22,9 @@ instances.
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
 from ..algorithms import bicriteria, heuristics, mono
@@ -134,6 +136,22 @@ class SolverSpec:
             return False
         return True
 
+    @cached_property
+    def options(self) -> frozenset[str] | None:
+        """Keyword options ``func`` accepts after its positional
+        ``(application, platform[, threshold])``; ``None`` when it takes
+        ``**kwargs`` (any option goes).  Inspected on first use only, so
+        :func:`solve` pays no signature walk per call."""
+        params = list(inspect.signature(self.func).parameters.values())
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            return None
+        skip = 3 if self.needs_threshold else 2
+        return frozenset(
+            p.name
+            for p in params[skip:]
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        )
+
 
 _REGISTRY: dict[str, SolverSpec] = {}
 
@@ -212,10 +230,11 @@ def solve(
     Raises
     ------
     repro.exceptions.SolverError
-        For unknown solvers, a missing/superfluous threshold, or a
-        platform outside the solver's declared domain.  Whatever the
-        underlying solver raises (``InfeasibleProblemError``, size-guard
-        ``SolverError``...) propagates unchanged.
+        For unknown solvers, a missing/superfluous threshold, an option
+        the solver does not accept, or a platform outside the solver's
+        declared domain.  Whatever the underlying solver raises
+        (``InfeasibleProblemError``, size-guard ``SolverError``...)
+        propagates unchanged.
     """
     spec = get_solver(name)
     if spec.needs_threshold and threshold is None:
@@ -223,6 +242,14 @@ def solve(
         raise SolverError(f"solver {name!r} requires a {bound} threshold")
     if not spec.needs_threshold and threshold is not None:
         raise SolverError(f"solver {name!r} does not take a threshold")
+    if spec.options is not None:
+        unknown = sorted(set(opts) - spec.options)
+        if unknown:
+            raise SolverError(
+                f"solver {name!r} does not accept option(s) "
+                f"{', '.join(map(repr, unknown))}; accepted: "
+                f"{', '.join(sorted(spec.options)) or 'none'}"
+            )
     if not spec.supports(platform):
         raise SolverError(
             f"solver {name!r} does not support "

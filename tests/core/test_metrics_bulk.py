@@ -343,167 +343,66 @@ class TestNondominatedMask:
         assert nondominated_mask(np.zeros(0), np.zeros(0)).tolist() == []
 
 
-class TestShardedEvaluation:
-    """Threaded row-sharding must be bit-identical and size-gated."""
+class TestSinglePassEvaluation:
+    """Each block is evaluated in one pass, whatever its size.
+
+    Every reduction is within a row, so a row's objectives must not
+    depend on which other rows share its block.
+    """
 
     def _big_block(self, kind, n=13, m=4, seed=3):
         app, plat = make_instance(kind, n, m, seed)
         mappings = list(enumerate_interval_mappings(n, m))
-        assert len(mappings) > 4 * 2048  # really engages the fan-out
+        assert len(mappings) > 8192
         block = MappingBlock.from_mappings(mappings, n, m)
-        return app, plat, block
+        return app, plat, mappings, block
 
     @pytest.mark.parametrize(
         "kind", ["comm-homogeneous", "fully-heterogeneous"]
     )
-    def test_shards_bit_identical(self, kind):
-        app, plat, block = self._big_block(kind)
-        single = BulkEvaluator(app, plat)
-        sharded = BulkEvaluator(app, plat, shards=4)
-        assert np.array_equal(
-            single.latencies(block), sharded.latencies(block)
-        )
-        assert np.array_equal(
-            single.failure_probabilities(block),
-            sharded.failure_probabilities(block),
-        )
-        lats, fps = sharded.evaluate_block(block)
-        ref_lats, ref_fps = single.evaluate_block(block)
-        assert np.array_equal(lats, ref_lats)
-        assert np.array_equal(fps, ref_fps)
-
-    def test_small_blocks_never_spawn_threads(self, monkeypatch):
-        from repro.core import metrics_bulk
-
-        app, plat = make_instance("comm-homogeneous", 4, 3, 5)
-        mappings = list(enumerate_interval_mappings(4, 3))
-        block = MappingBlock.from_mappings(mappings, 4, 3)
-        assert len(block) < metrics_bulk.SHARD_MIN_ROWS
-
-        def no_threads(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("thread pool created for a small block")
-
-        monkeypatch.setattr(
-            metrics_bulk, "ThreadPoolExecutor", no_threads
-        )
-        sharded = BulkEvaluator(app, plat, shards=8)
-        reference = BulkEvaluator(app, plat)
-        assert np.array_equal(
-            sharded.latencies(block), reference.latencies(block)
-        )
-
-    def test_invalid_shards_rejected(self):
-        app, plat = make_instance("comm-homogeneous", 3, 3, 1)
-        with pytest.raises(SolverError, match="shards"):
-            BulkEvaluator(app, plat, shards=0)
-
-    def test_exhaustive_solver_with_shards_identical(self):
-        from repro.algorithms.bicriteria.exhaustive import (
-            exhaustive_minimize_fp,
-        )
-
-        app, plat = make_instance("comm-homogeneous", 4, 4, 7)
-        plain = exhaustive_minimize_fp(app, plat, 40.0)
-        sharded = exhaustive_minimize_fp(app, plat, 40.0, bulk_shards=4)
-        assert sharded.latency == plain.latency
-        assert sharded.failure_probability == plain.failure_probability
-        assert sharded.mapping == plain.mapping
-
-    def test_shard_min_rows_lowers_the_gate(self, monkeypatch):
-        """A custom ``shard_min_rows`` engages the fan-out on small blocks."""
-        from repro.core import metrics_bulk
-
-        app, plat = make_instance("fully-heterogeneous", 4, 3, 5)
-        mappings = list(enumerate_interval_mappings(4, 3))
-        block = MappingBlock.from_mappings(mappings, 4, 3)
-        assert len(block) < metrics_bulk.SHARD_MIN_ROWS
-
-        created = []
-        real_executor = metrics_bulk.ThreadPoolExecutor
-
-        def record(*args, **kwargs):
-            executor = real_executor(*args, **kwargs)
-            created.append(executor)
-            return executor
-
-        monkeypatch.setattr(metrics_bulk, "ThreadPoolExecutor", record)
-        reference = BulkEvaluator(app, plat)
-        with BulkEvaluator(app, plat, shards=4, shard_min_rows=2) as sharded:
-            assert sharded.shard_min_rows == 2
-            assert np.array_equal(
-                sharded.latencies(block), reference.latencies(block)
+    def test_rows_independent_of_block_split(self, kind):
+        app, plat, _, block = self._big_block(kind)
+        evaluator = BulkEvaluator(app, plat)
+        lats, fps = evaluator.evaluate_block(block)
+        assert np.array_equal(lats, evaluator.latencies(block))
+        assert np.array_equal(fps, evaluator.failure_probabilities(block))
+        cut = [0, 1, 1000, 5000, len(block)]
+        parts = [
+            MappingBlock(
+                num_stages=block.num_stages,
+                num_processors=block.num_processors,
+                ends=block.ends[lo:hi],
+                masks=block.masks[lo:hi],
             )
-            assert np.array_equal(
-                sharded.failure_probabilities(block),
-                reference.failure_probabilities(block),
-            )
-        assert len(created) == 1
+            for lo, hi in zip(cut, cut[1:])
+        ]
+        assert np.array_equal(
+            np.concatenate([evaluator.latencies(p) for p in parts]), lats
+        )
+        assert np.array_equal(
+            np.concatenate(
+                [evaluator.failure_probabilities(p) for p in parts]
+            ),
+            fps,
+        )
 
-    def test_invalid_shard_min_rows_rejected(self):
+    @pytest.mark.parametrize(
+        "kind", ["comm-homogeneous", "fully-heterogeneous"]
+    )
+    def test_large_block_matches_scalar(self, kind):
+        app, plat, mappings, _ = self._big_block(kind)
+        sample = random.Random(5).sample(mappings, 64)
+        assert_bulk_matches_scalar(app, plat, sample + mappings[-8:])
+
+    def test_no_executor_lifecycle(self):
+        for name in ("close", "__enter__", "__exit__", "__del__"):
+            assert not hasattr(BulkEvaluator, name), name
+
+    @pytest.mark.parametrize("option", ["shards", "shard_min_rows"])
+    def test_removed_shard_options_rejected(self, option):
         app, plat = make_instance("comm-homogeneous", 3, 3, 1)
-        with pytest.raises(SolverError, match="shard_min_rows"):
-            BulkEvaluator(app, plat, shard_min_rows=0)
-
-
-class TestPersistentExecutor:
-    """The shard pool is created lazily, reused, and closed exactly once."""
-
-    def _instrument(self, monkeypatch):
-        from repro.core import metrics_bulk
-
-        created = []
-        real_executor = metrics_bulk.ThreadPoolExecutor
-
-        class Recording(real_executor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.shutdown_calls = 0
-                created.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                self.shutdown_calls += 1
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(metrics_bulk, "ThreadPoolExecutor", Recording)
-        return created
-
-    def _sharded_evaluator(self):
-        app, plat = make_instance("comm-homogeneous", 4, 3, 2)
-        mappings = list(enumerate_interval_mappings(4, 3))
-        block = MappingBlock.from_mappings(mappings, 4, 3)
-        return BulkEvaluator(app, plat, shards=2, shard_min_rows=1), block
-
-    def test_lazy_creation_and_reuse(self, monkeypatch):
-        created = self._instrument(monkeypatch)
-        evaluator, block = self._sharded_evaluator()
-        assert created == []  # construction alone spawns nothing
-        evaluator.latencies(block)
-        evaluator.failure_probabilities(block)
-        evaluator.evaluate_block(block)
-        assert len(created) == 1  # one pool serves every later block
-        evaluator.close()
-        assert created[0].shutdown_calls == 1
-
-    def test_close_is_idempotent_and_reopens(self, monkeypatch):
-        created = self._instrument(monkeypatch)
-        evaluator, block = self._sharded_evaluator()
-        evaluator.latencies(block)
-        evaluator.close()
-        evaluator.close()
-        assert created[0].shutdown_calls == 1
-        # evaluation after close simply builds a fresh pool
-        evaluator.latencies(block)
-        assert len(created) == 2
-        evaluator.close()
-
-    def test_context_manager_closes(self, monkeypatch):
-        created = self._instrument(monkeypatch)
-        evaluator, block = self._sharded_evaluator()
-        with evaluator as ev:
-            assert ev is evaluator
-            ev.latencies(block)
-        assert len(created) == 1
-        assert created[0].shutdown_calls == 1
+        with pytest.raises(TypeError, match=option):
+            BulkEvaluator(app, plat, **{option: 2})
 
 
 class TestHeterogeneousSendRestructure:

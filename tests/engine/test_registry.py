@@ -163,3 +163,90 @@ class TestDispatchErrors:
         spec = get_solver("alg1")
         with pytest.raises(ValueError, match="already registered"):
             engine.register(spec)
+
+    def test_unknown_option_named(self):
+        with pytest.raises(SolverError, match="'bulk_shards', 'seed'"):
+            api.solve(
+                "exhaustive-min-fp",
+                FIG5.application,
+                FIG5.platform,
+                threshold=FIG5.latency_threshold,
+                seed=1,
+                bulk_shards=2,
+            )
+
+    def test_var_keyword_solver_takes_any_option(self):
+        def passthrough(application, platform, threshold, **opts):
+            assert opts == {"anything": 1}
+            return heuristics.greedy_minimize_fp(
+                application, platform, threshold
+            )
+
+        spec = api.SolverSpec(
+            name="passthrough-min-fp",
+            func=passthrough,
+            objective=Objective.MIN_FP,
+            exact=False,
+            needs_threshold=True,
+        )
+        assert spec.options is None
+        engine.register(spec)
+        try:
+            result = api.solve(
+                "passthrough-min-fp",
+                FIG5.application,
+                FIG5.platform,
+                threshold=FIG5.latency_threshold,
+                anything=1,
+            )
+        finally:
+            engine.unregister("passthrough-min-fp")
+        assert result.latency <= FIG5.latency_threshold
+
+    @pytest.mark.parametrize(
+        "name", ["exhaustive-min-fp", "exhaustive-min-latency"]
+    )
+    def test_exhaustive_solvers_reject_bulk_shards(self, name):
+        with pytest.raises(SolverError, match="'bulk_shards'"):
+            api.solve(
+                name,
+                FIG5.application,
+                FIG5.platform,
+                threshold=(
+                    FIG5.latency_threshold
+                    if name == "exhaustive-min-fp"
+                    else 1.0
+                ),
+                bulk_shards=2,
+            )
+
+    def test_options_inspected_once(self, monkeypatch):
+        from repro.engine import registry
+
+        spec = api.SolverSpec(
+            name="counted-min-fp",
+            func=heuristics.greedy_minimize_fp,
+            objective=Objective.MIN_FP,
+            exact=False,
+            needs_threshold=True,
+        )
+        calls = []
+        real_signature = registry.inspect.signature
+
+        def counting(func):
+            calls.append(func)
+            return real_signature(func)
+
+        monkeypatch.setattr(registry.inspect, "signature", counting)
+        engine.register(spec)
+        try:
+            for _ in range(3):
+                api.solve(
+                    "counted-min-fp",
+                    FIG5.application,
+                    FIG5.platform,
+                    threshold=FIG5.latency_threshold,
+                )
+        finally:
+            engine.unregister("counted-min-fp")
+        assert calls == [heuristics.greedy_minimize_fp]

@@ -141,7 +141,7 @@ class TestFaultIsolation:
         assert "TypeError" in crash.error
 
     def test_bad_opts_crash_is_isolated(self, instance):
-        """A TypeError from unknown solver opts must not escape."""
+        """An unknown solver option fails its own task, never the batch."""
         app, plat = instance
         tasks = [
             BatchTask("greedy-min-fp", app, plat, threshold=50.0),
@@ -156,8 +156,34 @@ class TestFaultIsolation:
         for workers in (None, 2):
             outcomes = api.run_batch(tasks, workers=workers)
             assert outcomes[0].ok
-            assert outcomes[1].error_kind is ErrorKind.CRASH
-            assert "TypeError" in outcomes[1].error
+            assert outcomes[1].error_kind is ErrorKind.UNSUPPORTED
+            assert "SolverError" in outcomes[1].error
+            assert "'definitely_not_an_opt'" in outcomes[1].error
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_unknown_option_is_not_retried(self, workers, instance):
+        """An unknown option is a deterministic verdict: one attempt,
+        with the offending option named, however many retries the
+        policy allows."""
+        app, plat = instance
+        tasks = [
+            BatchTask(
+                "greedy-min-fp",
+                app,
+                plat,
+                threshold=50.0,
+                opts={"bulk_shardz": 4},
+            ),
+            BatchTask("greedy-min-fp", app, plat, threshold=50.0),
+        ]
+        outcomes = api.run_batch(
+            tasks, workers=workers, policy=BatchPolicy(retries=2)
+        )
+        bad = outcomes[0]
+        assert bad.error_kind is ErrorKind.UNSUPPORTED
+        assert bad.attempts == 1
+        assert "'bulk_shardz'" in bad.error
+        assert outcomes[1].ok
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_mixed_crash_timeout_batches_serial_equals_parallel(

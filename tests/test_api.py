@@ -111,27 +111,24 @@ class TestStableFacade:
     def test_facade_names_are_engine_objects(self):
         """The facade re-exports, it does not fork: identity must hold
         so isinstance checks work across both import paths."""
-        import warnings
+        from repro import api
 
-        from repro import api, engine
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in (
-                "solve",
-                "run_batch",
-                "iter_batch",
-                "run_sweep",
-                "iter_sweep",
-                "open_store",
-                "record_run",
-                "replay_run",
-                "BatchTask",
-                "BatchPolicy",
-                "ErrorKind",
-                "SweepPlan",
-            ):
-                assert getattr(api, name) is getattr(engine, name), name
+        for name, module in (
+            ("solve", "registry"),
+            ("run_batch", "batch"),
+            ("iter_batch", "batch"),
+            ("run_sweep", "sweeps"),
+            ("iter_sweep", "sweeps"),
+            ("open_store", "store"),
+            ("record_run", "recorder"),
+            ("replay_run", "replay"),
+            ("BatchTask", "batch"),
+            ("BatchPolicy", "policy"),
+            ("ErrorKind", "policy"),
+            ("SweepPlan", "sweeps"),
+        ):
+            deep = importlib.import_module(f"repro.engine.{module}")
+            assert getattr(api, name) is getattr(deep, name), name
 
     def test_facade_names_are_simulation_objects(self):
         """Same identity guarantee for the simulation surface."""
@@ -159,28 +156,17 @@ class TestStableFacade:
         ):
             assert getattr(api, name) is getattr(simulation, name), name
 
-    def test_package_level_engine_access_warns(self):
-        """The old ``repro.engine.<name>`` paths for facade-covered
-        names keep working but emit a DeprecationWarning pointing at
-        ``repro.api``; engine-internal names stay warning-free."""
+    def test_engine_all_resolves_without_warnings(self):
+        """Every name ``repro.engine`` advertises is really bound there:
+        no lazy, warning-emitting re-exports of facade names."""
         import warnings
 
         from repro import engine
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.solve
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api.solve" in str(w.message)
-            for w in caught
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.MemoryStore
-            engine.register
-            engine.GraphNode
-        assert not caught
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in engine.__all__:
+                getattr(engine, name)
 
     def test_deep_module_paths_stay_warning_free(self):
         import warnings
@@ -251,11 +237,6 @@ class TestStableFacade:
         assert result.latency <= 60.0
 
     def test_deep_import_paths_keep_working(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.engine import run_sweep  # noqa: F401
         from repro.engine.batch import run_batch  # noqa: F401
         from repro.engine.sweeps import SweepPlan  # noqa: F401
         from repro.simulation import run_simulation  # noqa: F401
